@@ -1,15 +1,13 @@
 #include "apps/awari/awari.h"
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "apps/awari/game.h"
+#include "apps/awari/key_table.h"
 #include "apps/common.h"
 #include "core/combiner.h"
 
@@ -32,6 +30,43 @@ struct Item
 
 using Combiner = core::MessageCombiner<Item>;
 
+/**
+ * One stage split over p ranks. It depends only on (stones, ranks),
+ * never on the scenario, so every run of that shape shares one copy.
+ */
+struct StagePartition
+{
+    /** Owned keys of each rank, in enumeration order. */
+    std::vector<std::vector<std::uint64_t>> ownKeys;
+    /** Every key of the stage -> its index in its owner's ownKeys. */
+    KeyTable<std::int32_t> localIndex;
+};
+
+const StagePartition &
+stagePartition(int stones, int ranks)
+{
+    // Guarded like referenceSolver(): parallel sweep workers share
+    // the memo, and std::map nodes never move.
+    static std::mutex memoMutex;
+    static std::map<std::pair<int, int>, StagePartition> memo;
+    std::lock_guard<std::mutex> lock(memoMutex);
+    auto [it, inserted] = memo.try_emplace({stones, ranks});
+    StagePartition &sp = it->second;
+    if (inserted) {
+        std::vector<std::uint64_t> all = enumerateStage(stones);
+        sp.ownKeys.resize(ranks);
+        sp.localIndex.reserve(all.size());
+        for (std::uint64_t key : all) {
+            std::vector<std::uint64_t> &own =
+                sp.ownKeys[ownerOf(key, ranks)];
+            sp.localIndex.insert(key,
+                                 static_cast<std::int32_t>(own.size()));
+            own.push_back(key);
+        }
+    }
+    return sp;
+}
+
 struct Run
 {
     Machine &machine;
@@ -40,8 +75,10 @@ struct Run
     Combiner combiner;
     double costPerUnit;
 
-    /** Per-rank solved values of owned positions (all stages). */
-    std::vector<std::unordered_map<std::uint64_t, Value>> values;
+    /** The shared partition of each stage 0..maxStones. */
+    std::vector<const StagePartition *> stages;
+    /** Per-rank values of owned positions: [rank][stones][index]. */
+    std::vector<std::vector<std::vector<Value>>> values;
     /** Per-rank protocol counters for quiescence detection. */
     std::vector<double> itemsSent;
     std::vector<double> itemsReceived;
@@ -57,26 +94,83 @@ struct Run
                    Combiner::Config{
                        static_cast<std::size_t>(c.combineItems), 16,
                        opt}),
-          costPerUnit(0), values(m.size()), itemsSent(m.size(), 0),
-          itemsReceived(m.size(), 0),
+          costPerUnit(0),
+          values(m.size(),
+                 std::vector<std::vector<Value>>(c.maxStones + 1)),
+          itemsSent(m.size(), 0), itemsReceived(m.size(), 0),
           parallelCounts(c.maxStones + 1)
     {
+        for (int k = 0; k <= c.maxStones; ++k)
+            stages.push_back(&stagePartition(k, m.size()));
+    }
+
+    /** Index of a position owned by @p self in its stage's keys. */
+    int
+    indexOf(Rank self, int stones, std::uint64_t key) const
+    {
+        const StagePartition &sp = *stages[stones];
+        const std::int32_t *i = sp.localIndex.find(key);
+        TLI_ASSERT(i != nullptr && sp.ownKeys[self][*i] == key,
+                   "state not owned by rank ", self);
+        return *i;
+    }
+
+    /** Value of a position owned by @p self, from any stage. */
+    Value
+    valueOf(Rank self, std::uint64_t key) const
+    {
+        const int k = decode(key).stonesOnBoard();
+        return values[self][k][indexOf(self, k, key)];
     }
 };
 
 /** Per-rank working state of one stage. */
 struct Stage
 {
-    int stones = 0;
-    std::vector<std::uint64_t> ownKeys;
-    std::unordered_map<std::uint64_t, int> index;
-    std::vector<Value> val;
+    Stage(Run &run, Rank self, int k)
+        : stones(k), ownKeys(run.stages[k]->ownKeys[self]),
+          val(run.values[self][k])
+    {
+        const std::size_t n = ownKeys.size();
+        val.assign(n, Value::unknown);
+        pending.assign(n, 0);
+        subHead.assign(n, -1);
+        subTail.assign(n, -1);
+        cascade.reserve(n);
+    }
+
+    int stones;
+    const std::vector<std::uint64_t> &ownKeys;
+    /** This stage's row of Run::values. */
+    std::vector<Value> &val;
     std::vector<int> pending;
-    /** Local states depending on a (possibly remote) successor key. */
-    std::unordered_map<std::uint64_t, std::vector<int>> dependents;
-    /** Remote ranks awaiting the value of an owned same-stage state. */
-    std::unordered_map<std::uint64_t, std::vector<Rank>> subscribers;
-    std::deque<int> cascade;
+
+    /**
+     * Local states depending on a (possibly remote) successor key,
+     * in CSR form: key -> id, then dependents of id in
+     * depList[depStart[id], depStart[id + 1]), in insertion order.
+     * A key's list is applied once, then marked done.
+     */
+    KeyTable<std::int32_t> depId;
+    std::vector<std::int32_t> depStart;
+    std::vector<std::int32_t> depList;
+    std::vector<std::uint8_t> depDone;
+
+    /** Remote ranks awaiting the value of an owned same-stage state:
+     *  a FIFO list per local index, linked through subPool. */
+    struct Subscriber
+    {
+        Rank rank;
+        std::int32_t next;
+    };
+    std::vector<std::int32_t> subHead;
+    std::vector<std::int32_t> subTail;
+    std::vector<Subscriber> subPool;
+
+    /** Determined states not yet propagated: cascade[cascadeNext..].
+     *  A state is determined once, so it never outgrows n. */
+    std::vector<std::int32_t> cascade;
+    std::size_t cascadeNext = 0;
     double workUnits = 0;
 };
 
@@ -93,10 +187,13 @@ determine(Stage &st, int i, Value v)
 void
 applyKnownValue(Stage &st, std::uint64_t key, Value v)
 {
-    auto dep = st.dependents.find(key);
-    if (dep == st.dependents.end())
+    const std::int32_t *id = st.depId.find(key);
+    if (id == nullptr || st.depDone[*id])
         return;
-    for (int i : dep->second) {
+    st.depDone[*id] = 1;
+    for (std::int32_t d = st.depStart[*id]; d < st.depStart[*id + 1];
+         ++d) {
+        const int i = st.depList[d];
         if (st.val[i] != Value::unknown)
             continue;
         if (v == Value::loss)
@@ -105,29 +202,23 @@ applyKnownValue(Stage &st, std::uint64_t key, Value v)
             determine(st, i, Value::loss);
         // A draw successor never resolves a state.
     }
-    st.dependents.erase(dep);
 }
 
 /** Drain the cascade queue: notify subscribers, propagate locally. */
 void
 drainCascade(Run &run, Rank self, Stage &st)
 {
-    while (!st.cascade.empty()) {
-        int i = st.cascade.front();
-        st.cascade.pop_front();
-        std::uint64_t key = st.ownKeys[i];
-        Value v = st.val[i];
-        run.values[self][key] = v;
-
-        auto subs = st.subscribers.find(key);
-        if (subs != st.subscribers.end()) {
-            for (Rank r : subs->second) {
-                run.itemsSent[self] += 1;
-                run.combiner.add(self, r,
-                                 Item{Item::Kind::value, key, v, self});
-            }
-            st.subscribers.erase(subs);
+    while (st.cascadeNext < st.cascade.size()) {
+        const int i = st.cascade[st.cascadeNext++];
+        const std::uint64_t key = st.ownKeys[i];
+        const Value v = st.val[i];
+        for (std::int32_t s = st.subHead[i]; s >= 0;
+             s = st.subPool[s].next) {
+            run.itemsSent[self] += 1;
+            run.combiner.add(self, st.subPool[s].rank,
+                             Item{Item::Kind::value, key, v, self});
         }
+        st.subHead[i] = -1;
         applyKnownValue(st, key, v);
     }
 }
@@ -144,17 +235,25 @@ processItem(Run &run, Rank self, Stage &st, const Item &item)
     }
     // Request: lower stages are always solved; same-stage states may
     // still be undetermined, in which case the requester subscribes.
-    auto solved = run.values[self].find(item.key);
-    if (solved != run.values[self].end()) {
+    // The cascade is drained after every item, so a determined state
+    // has already notified its subscribers.
+    const int k = decode(item.key).stonesOnBoard();
+    const int i = run.indexOf(self, k, item.key);
+    const Value v = run.values[self][k][i];
+    if (v != Value::unknown) {
         run.itemsSent[self] += 1;
         run.combiner.add(self, item.from,
-                         Item{Item::Kind::value, item.key,
-                              solved->second, self});
+                         Item{Item::Kind::value, item.key, v, self});
         return;
     }
-    TLI_ASSERT(st.index.count(item.key),
-               "request for a state this rank does not own");
-    st.subscribers[item.key].push_back(item.from);
+    TLI_ASSERT(k == st.stones, "unsolved state below the current stage");
+    const auto s = static_cast<std::int32_t>(st.subPool.size());
+    st.subPool.push_back({item.from, -1});
+    if (st.subHead[i] < 0)
+        st.subHead[i] = s;
+    else
+        st.subPool[st.subTail[i]].next = s;
+    st.subTail[i] = s;
 }
 
 /** Build the stage structures and issue the initial requests. */
@@ -162,19 +261,14 @@ void
 buildStage(Run &run, Rank self, Stage &st)
 {
     const int p = run.machine.size();
-    std::vector<std::uint64_t> all = enumerateStage(st.stones);
-    for (std::uint64_t key : all) {
-        if (ownerOf(key, p) == self)
-            st.ownKeys.push_back(key);
-    }
     const int n = static_cast<int>(st.ownKeys.size());
-    st.index.reserve(n * 2);
-    for (int i = 0; i < n; ++i)
-        st.index.emplace(st.ownKeys[i], i);
-    st.val.assign(n, Value::unknown);
-    st.pending.assign(n, 0);
 
-    std::unordered_set<std::uint64_t> requested;
+    // Dependency edges (successor id, dependent state) in insertion
+    // order; the CSR below keeps that order per successor. A state
+    // has about two pending successors on average.
+    std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+    edges.reserve(2 * n);
+    st.depId.reserve(2 * n);
     for (int i = 0; i < n; ++i) {
         Position pos = decode(st.ownKeys[i]);
         std::vector<int> moves = legalMoves(pos);
@@ -191,17 +285,20 @@ buildStage(Run &run, Rank self, Stage &st)
             std::uint64_t sk = encode(succ);
             Rank owner = ownerOf(sk, p);
             if (captured > 0 && owner == self) {
-                Value v = run.values[self].at(sk);
+                Value v = run.valueOf(self, sk);
                 if (v == Value::loss)
                     win = true;
                 else if (v != Value::win)
                     ++pend;
                 continue;
             }
-            // Same-stage or remote: value not yet at hand.
+            // Same-stage or remote: value not yet at hand. The first
+            // dependency on a remote key requests it.
             ++pend;
-            st.dependents[sk].push_back(i);
-            if (owner != self && requested.insert(sk).second) {
+            auto [id, fresh] = st.depId.insert(
+                sk, static_cast<std::int32_t>(st.depId.size()));
+            edges.emplace_back(*id, i);
+            if (owner != self && fresh) {
                 run.itemsSent[self] += 1;
                 run.combiner.add(self, owner,
                                  Item{Item::Kind::request, sk,
@@ -215,6 +312,20 @@ buildStage(Run &run, Rank self, Stage &st)
         else
             st.pending[i] = pend;
     }
+
+    const std::size_t ids = st.depId.size();
+    st.depStart.assign(ids + 1, 0);
+    for (const auto &e : edges)
+        ++st.depStart[e.first + 1];
+    for (std::size_t id = 0; id < ids; ++id)
+        st.depStart[id + 1] += st.depStart[id];
+    st.depList.resize(edges.size());
+    std::vector<std::int32_t> fill(st.depStart.begin(),
+                                   st.depStart.end() - 1);
+    for (const auto &e : edges)
+        st.depList[fill[e.first]++] = e.second;
+    st.depDone.assign(ids, 0);
+
     drainCascade(run, self, st);
 }
 
@@ -229,8 +340,7 @@ worker(Run &run, Rank self)
         m.startMeasurement();
 
     for (int k = 0; k <= run.cfg.maxStones; ++k) {
-        Stage st;
-        st.stones = k;
+        Stage st(run, self, k);
         buildStage(run, self, st);
         run.combiner.flushAll(self);
         co_await m.compute(self, cpu, st.workUnits);
@@ -266,10 +376,8 @@ worker(Run &run, Rank self)
         // Whatever survived the fixpoint is a draw.
         StageCounts local;
         for (std::size_t i = 0; i < st.ownKeys.size(); ++i) {
-            if (st.val[i] == Value::unknown) {
+            if (st.val[i] == Value::unknown)
                 st.val[i] = Value::draw;
-                run.values[self][st.ownKeys[i]] = Value::draw;
-            }
             switch (st.val[i]) {
               case Value::win:
                 ++local.win;

@@ -1,7 +1,5 @@
 #include "apps/awari/game.h"
 
-#include <deque>
-
 #include "sim/logging.h"
 
 namespace tli::apps::awari {
@@ -150,17 +148,20 @@ Solver::solve()
     for (int k = 0; k <= maxStones_; ++k) {
         std::vector<std::uint64_t> keys = enumerateStage(k);
         const int n = static_cast<int>(keys.size());
-        std::unordered_map<std::uint64_t, int> index;
-        index.reserve(n * 2);
+        KeyTable<int> index(n);
         for (int i = 0; i < n; ++i)
-            index.emplace(keys[i], i);
+            index.insert(keys[i], i);
 
         std::vector<Value> val(n, Value::unknown);
         // Successors not yet proven WIN (for the opponent); reaching
         // zero proves LOSS.
         std::vector<int> pending(n, 0);
         std::vector<std::vector<int>> preds(n);
-        std::deque<int> ready;
+        // Each state is determined once: ready[readyNext..] is the
+        // queue and never outgrows n.
+        std::vector<int> ready;
+        ready.reserve(n);
+        std::size_t readyNext = 0;
 
         for (int i = 0; i < n; ++i) {
             Position pos = decode(keys[i]);
@@ -184,10 +185,10 @@ Solver::solve()
                     else if (v != Value::win)
                         ++pend; // a draw successor: never proves LOSS
                 } else {
-                    auto it = index.find(sk);
-                    TLI_ASSERT(it != index.end(),
+                    const int *j = index.find(sk);
+                    TLI_ASSERT(j != nullptr,
                                "same-stage successor missing");
-                    preds[it->second].push_back(i);
+                    preds[*j].push_back(i);
                     ++pend;
                 }
             }
@@ -204,9 +205,8 @@ Solver::solve()
         }
 
         // Backward propagation over same-stage edges.
-        while (!ready.empty()) {
-            int t = ready.front();
-            ready.pop_front();
+        while (readyNext < ready.size()) {
+            int t = ready[readyNext++];
             for (int pr : preds[t]) {
                 if (val[pr] != Value::unknown)
                     continue;
@@ -239,7 +239,7 @@ Solver::solve()
               default:
                 break;
             }
-            values_.emplace(keys[i], val[i]);
+            values_.insert(keys[i], val[i]);
         }
     }
 }
@@ -247,9 +247,9 @@ Solver::solve()
 Value
 Solver::valueOf(std::uint64_t key) const
 {
-    auto it = values_.find(key);
-    TLI_ASSERT(it != values_.end(), "unsolved position queried");
-    return it->second;
+    const Value *v = values_.find(key);
+    TLI_ASSERT(v != nullptr, "unsolved position queried");
+    return *v;
 }
 
 double

@@ -17,8 +17,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "apps/awari/key_table.h"
 
 namespace tli::apps::awari {
 
@@ -112,7 +113,7 @@ class Solver
 
   private:
     int maxStones_;
-    std::unordered_map<std::uint64_t, Value> values_;
+    KeyTable<Value> values_;
     std::vector<StageCounts> counts_;
     std::uint64_t workUnits_ = 0;
 };

@@ -167,8 +167,7 @@ class MessageCombiner
         batchesSent_.fetch_add(1, std::memory_order_relaxed);
         itemsSent_.fetch_add(buf.size(), std::memory_order_relaxed);
         const std::uint64_t bytes = config_.itemBytes * buf.size();
-        panda_.send(self, dst, deliverTag(), bytes, std::move(buf));
-        buf.clear();
+        panda_.send(self, dst, deliverTag(), bytes, takeBuffer(buf));
     }
 
     void
@@ -181,8 +180,21 @@ class MessageCombiner
         const std::uint64_t bytes =
             (config_.itemBytes + 8) * buf.size();
         panda_.send(self, forwarder, forwardTag(), bytes,
-                    std::move(buf));
-        buf.clear();
+                    takeBuffer(buf));
+    }
+
+    /**
+     * The filled buffer, for sending; @p buf is left empty with room
+     * for a whole batch, so the next one fills without regrowing.
+     */
+    template <typename Buffer>
+    Buffer
+    takeBuffer(Buffer &buf)
+    {
+        Buffer full;
+        full.reserve(config_.maxItems);
+        full.swap(buf);
+        return full;
     }
 
     sim::Task<void>

@@ -148,6 +148,9 @@ runScaleWorkload(const ScaleConfig &config)
     }
 
     const net::FabricStats stats = fabric.stats();
+    out.intraMessages = stats.intra.messages;
+    out.interMessages = stats.inter.messages;
+    out.interBytes = stats.inter.bytes;
     out.activePairs = stats.orderedPairs;
     out.orderingBytes = stats.orderingBytes;
     return out;
@@ -175,12 +178,15 @@ scaleChildMain(int argc, char **argv)
     // One machine-parseable line; %.17g round-trips doubles exactly.
     // The peak RSS is self-measured (VmHWM) because the watermark
     // wait4 reports would include the parent image fork duplicated.
-    std::printf("TLI_SCALE %d %llu %llu %llu %llu %.17g %llu %llu "
-                "%.17g %lld\n",
+    std::printf("TLI_SCALE %d %llu %llu %llu %llu %.17g %llu %llu %llu "
+                "%llu %llu %.17g %lld\n",
                 r.ranks, static_cast<unsigned long long>(r.sent),
                 static_cast<unsigned long long>(r.delivered),
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.digest), r.simTime,
+                static_cast<unsigned long long>(r.intraMessages),
+                static_cast<unsigned long long>(r.interMessages),
+                static_cast<unsigned long long>(r.interBytes),
                 static_cast<unsigned long long>(r.activePairs),
                 static_cast<unsigned long long>(r.orderingBytes),
                 r.wallSeconds,
@@ -243,20 +249,26 @@ runScaleChild(const ScaleConfig &config)
     unsigned long long delivered = 0;
     unsigned long long events = 0;
     unsigned long long digest = 0;
+    unsigned long long intra = 0;
+    unsigned long long inter = 0;
+    unsigned long long interBytes = 0;
     unsigned long long pairs = 0;
     unsigned long long orderingBytes = 0;
     long long peak = 0;
     if (std::sscanf(text.c_str(),
                     "TLI_SCALE %d %llu %llu %llu %llu %lg %llu %llu "
-                    "%lg %lld",
+                    "%llu %llu %llu %lg %lld",
                     &r.ranks, &sent, &delivered, &events, &digest,
-                    &r.simTime, &pairs, &orderingBytes,
-                    &r.wallSeconds, &peak) != 10)
+                    &r.simTime, &intra, &inter, &interBytes, &pairs,
+                    &orderingBytes, &r.wallSeconds, &peak) != 13)
         return out;
     r.sent = sent;
     r.delivered = delivered;
     r.events = events;
     r.digest = digest;
+    r.intraMessages = intra;
+    r.interMessages = inter;
+    r.interBytes = interBytes;
     r.activePairs = pairs;
     r.orderingBytes = orderingBytes;
     out.peakRssBytes = peak;

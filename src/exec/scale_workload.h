@@ -61,6 +61,12 @@ struct ScaleResult
     std::uint64_t digest = 0;
     /** Final virtual time, seconds. */
     double simTime = 0;
+    /** Fabric-measured traffic (FabricStats): local-layer and
+     *  wide-area message counts and wide-area bytes, headers
+     *  included. */
+    std::uint64_t intraMessages = 0;
+    std::uint64_t interMessages = 0;
+    std::uint64_t interBytes = 0;
     /** Fabric ordering-clamp state actually allocated. */
     std::uint64_t activePairs = 0;
     std::uint64_t orderingBytes = 0;

@@ -224,7 +224,8 @@ class EventQueue
             // compared; the deep levels of a large heap miss cache.
             if (std::size_t next = arity * first + 1; next < n) {
                 __builtin_prefetch(&heap_[next]);
-                __builtin_prefetch(&heap_[next + arity * 2]);
+                if (next + arity * 2 < n)
+                    __builtin_prefetch(&heap_[next + arity * 2]);
             }
 #endif
             std::size_t best = first;

@@ -16,6 +16,7 @@
 #include "apps/registry.h"
 #include "core/scenario.h"
 #include "exec/engine.h"
+#include "panda/message.h"
 
 namespace tli::exec {
 namespace {
@@ -46,6 +47,27 @@ TEST(ScaleDeterminism, BitIdenticalAt10kRanks)
     // stripe is clamped, far below the 10240^2 dense table.
     EXPECT_LT(a.activePairs, 10240u);
     EXPECT_LT(a.orderingBytes, 1u << 20);
+}
+
+TEST(ScaleDeterminism, FabricCountsMatchTheConfiguration)
+{
+    // Every rank sends one message around its cluster's ring per
+    // round; one rank in 16 also sends one 1 KiB message one cluster
+    // over. The fabric's own counters must see exactly that traffic,
+    // sequential or partitioned; its local layer also carries the two
+    // gateway hops of each wide-area message.
+    ScaleConfig config{.clusters = 4, .procsPerCluster = 32, .rounds = 8};
+    const std::uint64_t R = 4 * 32;
+    const std::uint64_t intra = 8 * R;
+    const std::uint64_t inter = 8 * (R / 16);
+    for (int threads : {1, 4}) {
+        config.simThreads = threads;
+        const ScaleResult r = runScaleWorkload(config);
+        EXPECT_EQ(r.sent, intra + inter);
+        EXPECT_EQ(r.intraMessages, intra + 2 * inter);
+        EXPECT_EQ(r.interMessages, inter);
+        EXPECT_EQ(r.interBytes, inter * (1024 + panda::headerBytes));
+    }
 }
 
 TEST(ScaleDeterminism, ConcurrentRunsMatchSerialRuns)
