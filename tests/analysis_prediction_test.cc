@@ -12,6 +12,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "apps/registry.h"
 #include "core/gap_study.h"
@@ -42,9 +44,11 @@ tracedGraph(const char *app, const char *variant,
     return TraceGraph::build(sink, s);
 }
 
+/** (app, variant); strings so the printed parameter is stable. */
+using AppVariantName = std::pair<std::string, std::string>;
+
 class TracePointExactness
-    : public ::testing::TestWithParam<std::pair<const char *,
-                                                const char *>>
+    : public ::testing::TestWithParam<AppVariantName>
 {
 };
 
@@ -52,7 +56,7 @@ TEST_P(TracePointExactness, ReplayReproducesTheTracedRunExactly)
 {
     const auto &[app, variant] = GetParam();
     core::Scenario s = tinyScenario();
-    TraceGraph g = tracedGraph(app, variant, s);
+    TraceGraph g = tracedGraph(app.c_str(), variant.c_str(), s);
     Predictor pred(g);
     Prediction at = pred.predictAt(s.wanBandwidthMBs, s.wanLatencyMs);
     // The replay walks the same float operations the fabric did, in
@@ -62,12 +66,19 @@ TEST_P(TracePointExactness, ReplayReproducesTheTracedRunExactly)
                 1e-9 * g.baselineRunTime);
 }
 
+std::string
+appVariantName(const ::testing::TestParamInfo<AppVariantName> &info)
+{
+    return info.param.first + "_" + info.param.second;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Apps, TracePointExactness,
-    ::testing::Values(std::pair{"fft", "unopt"},
-                      std::pair{"water", "opt"},
-                      std::pair{"asp", "opt"},
-                      std::pair{"tsp", "opt"}));
+    ::testing::Values(AppVariantName{"fft", "unopt"},
+                      AppVariantName{"water", "opt"},
+                      AppVariantName{"asp", "opt"},
+                      AppVariantName{"tsp", "opt"}),
+    appVariantName);
 
 TEST(Prediction, SurfacesAreMonotoneInLatencyAndBandwidth)
 {
